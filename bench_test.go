@@ -821,6 +821,7 @@ func BenchmarkAssignmentSearch(b *testing.B) {
 		}
 		plat := mhla.TwoLevel(app.L1)
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := mhla.Search(context.Background(), an, plat); err != nil {
 					b.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mhla/internal/lifetime"
 	"mhla/internal/model"
 	"mhla/internal/platform"
 	"mhla/internal/reuse"
@@ -55,7 +54,7 @@ func chainContrib(plat *platform.Platform, policy reuse.Policy, ch *reuse.Chain,
 	n := ch.AccessesPerExecution()
 	isWrite := ch.Kind == model.Write
 	c.cycles += n * w * plat.AccessCycles(accessLayer, isWrite)
-	c.energy += float64(n*w) * plat.AccessEnergy(accessLayer, isWrite)
+	c.energy += float64(float64(n*w) * plat.AccessEnergy(accessLayer, isWrite))
 	// Transfers.
 	parent := home
 	for i, lv := range levels {
@@ -71,7 +70,7 @@ func chainContrib(plat *platform.Platform, policy reuse.Policy, ch *reuse.Chain,
 				src, dst = layer, parent
 			}
 			c.cycles += uc.Count * plat.TransferCycles(src, dst, bytes)
-			c.energy += float64(uc.Count) * plat.TransferEnergy(src, dst, bytes)
+			c.energy += float64(float64(uc.Count) * plat.TransferEnergy(src, dst, bytes))
 		}
 		parent = layer
 	}
@@ -177,9 +176,6 @@ type space struct {
 	// capacity-filtered index in chainOpts[ci] (-1 when infeasible
 	// here), so seed mapping reads the shared catalog index instead of
 	// building a per-point map.
-	nblocks         int
-	arrayObjs       []lifetime.Object
-	arrayUsed       []bool
 	arrayContribTab [][]contrib
 	chainContribTab [][]contrib
 	chainObjs       [][][]objDesc
@@ -273,7 +269,6 @@ func newSpace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 		s.optRemap[i] = remap
 	}
 
-	s.nblocks = ws.NBlocks
 	s.buildTables()
 
 	// Per-chain optimistic contributions (min over homes and options),
@@ -505,7 +500,7 @@ func (s *space) pruneSubtree(bound, bestScore float64) bool {
 	if math.IsInf(bestScore, 1) {
 		return false
 	}
-	return bound > bestScore+1e-9*(1+math.Abs(bestScore))
+	return bound > bestScore+float64(1e-9*(1+math.Abs(bestScore)))
 }
 
 // expandRoots splits the decision tree into independent subtree roots

@@ -153,7 +153,7 @@ func (a *Assignment) Evaluate(opts EvalOptions) Cost {
 		cyc := n * words * a.Platform.AccessCycles(layer, isWrite)
 		blocks[ch.BlockIndex].access += cyc
 		cost.AccessCycles += cyc
-		cost.AccessEnergyPJ += float64(n*words) * a.Platform.AccessEnergy(layer, isWrite)
+		cost.AccessEnergyPJ += float64(float64(n*words) * a.Platform.AccessEnergy(layer, isWrite))
 		cost.PerLayerAccesses[layer] += n * words
 	}
 
@@ -163,7 +163,7 @@ func (a *Assignment) Evaluate(opts EvalOptions) Cost {
 		if st.Write {
 			src, dst = st.Layer, st.Parent
 		}
-		cost.TransferEnergyPJ += float64(st.Count) * a.Platform.TransferEnergy(src, dst, st.Bytes)
+		cost.TransferEnergyPJ += float64(float64(st.Count) * a.Platform.TransferEnergy(src, dst, st.Bytes))
 		var hidden int64
 		if opts.Ideal {
 			// The ideal case hides every DMA block transfer; CPU

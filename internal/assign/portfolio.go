@@ -124,7 +124,7 @@ func portfolioSearch(ctx context.Context, ws *workspace.Workspace, plat *platfor
 			continue
 		}
 		score := opts.Objective.Score(r.Cost)
-		if winner < 0 || score < winScore-1e-9*(1+math.Abs(winScore)) {
+		if winner < 0 || score < winScore-float64(1e-9*(1+math.Abs(winScore))) {
 			winner, winScore = i, score
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"mhla/internal/lifetime"
+	"mhla/internal/platform"
+	"mhla/internal/workspace"
 )
 
 // This file holds the mutable, allocation-free inner-loop state of the
@@ -14,7 +16,8 @@ import (
 // applies one decision at a time against incremental per-layer
 // occupancy trackers and undoes it on backtrack, so the steady-state
 // DFS allocates nothing. A full Assignment is materialized only at
-// improved leaves.
+// improved leaves. The trackers and array homes form the occupancy
+// kernel, which the greedy engine (greedy.go) shares.
 
 // objDesc is one precomputed space consumer of a chain decision: the
 // layer it occupies plus the ready-made lifetime object (ID string,
@@ -56,8 +59,6 @@ func optionKey(levels, layers []int) string {
 //     depends only on that pair, so per-child cost accumulation
 //     becomes one lookup plus add.
 func (s *space) buildTables() {
-	s.arrayObjs = s.ws.ArrayObjs
-	s.arrayUsed = s.ws.ArrayUsed
 	s.chainArrayIdx = s.ws.ChainArrayIdx
 	s.arrayContribTab = make([][]contrib, len(s.arrays))
 	for i, arr := range s.arrays {
@@ -82,80 +83,113 @@ func (s *space) buildTables() {
 	}
 }
 
-// searchState is the mutable position of one DFS worker in the
-// decision tree. It is built once per subtree task (and once for root
-// expansion), then mutated in place: apply takes one decision, undo
-// reverts it. All slices are preallocated; the apply/undo hot path
-// performs no heap allocation.
-type searchState struct {
-	sp *space
+// occupancy is the incremental capacity kernel every search engine
+// shares: one occupancy tracker per bounded layer plus the home layer
+// of every array. Engines place and unplace lifetime objects as they
+// apply and undo decisions, and feasibility — the incremental
+// equivalent of Assignment.Fits — is an O(layers) check over
+// maintained peaks instead of a from-scratch profile rebuild.
+type occupancy struct {
+	ws   *workspace.Workspace
+	plat *platform.Platform
 	// trackers holds one incremental occupancy profile per bounded
 	// layer (nil for layers with Capacity 0, which Fits ignores).
 	trackers []*lifetime.Tracker
 	// homes is the current home layer of every array (index-aligned
-	// with sp.arrays); undecided arrays sit on the background layer,
-	// which is also the out-of-the-box placement.
+	// with ws.Arrays).
 	homes []int
-	// chainSel is the selected option index per chain, -1 while
-	// undecided.
-	chainSel []int
 }
 
-// newSearchState returns the root state: every array homed on the
-// background layer (its objects placed in the background tracker when
-// that layer is bounded) and no chain selections.
-func newSearchState(s *space) *searchState {
-	st := &searchState{
-		sp:       s,
-		trackers: make([]*lifetime.Tracker, len(s.plat.Layers)),
-		homes:    make([]int, len(s.arrays)),
-		chainSel: make([]int, len(s.chains)),
+// newOccupancy returns the out-of-the-box occupancy: every array homed
+// on the background layer, its object placed in the background
+// tracker when that layer is bounded.
+func newOccupancy(ws *workspace.Workspace, plat *platform.Platform, inPlace bool) occupancy {
+	o := occupancy{
+		ws:       ws,
+		plat:     plat,
+		trackers: make([]*lifetime.Tracker, len(plat.Layers)),
+		homes:    make([]int, len(ws.Arrays)),
 	}
-	for i := range s.plat.Layers {
-		if s.plat.Layers[i].Capacity > 0 {
-			st.trackers[i] = lifetime.NewTracker(s.nblocks, s.opts.InPlace)
+	for i := range plat.Layers {
+		if plat.Layers[i].Capacity > 0 {
+			o.trackers[i] = lifetime.NewTracker(ws.NBlocks, inPlace)
 		}
 	}
-	for ai := range s.arrays {
-		st.homes[ai] = s.bg
-		if s.arrayUsed[ai] {
-			if tr := st.trackers[s.bg]; tr != nil {
-				tr.Place(s.arrayObjs[ai])
-			}
+	bg := plat.Background()
+	for ai := range ws.Arrays {
+		o.homes[ai] = bg
+		if ws.ArrayUsed[ai] {
+			o.place(bg, ws.ArrayObjs[ai])
 		}
 	}
-	for ci := range s.chains {
-		st.chainSel[ci] = -1
-	}
-	return st
+	return o
 }
 
 // fits reports whether every bounded layer's peak occupancy is within
-// its capacity — the incremental equivalent of Assignment.Fits, an
-// O(layers) check over maintained peaks instead of a from-scratch
-// profile rebuild.
-func (st *searchState) fits() bool {
-	for i, tr := range st.trackers {
-		if tr != nil && tr.Peak() > st.sp.plat.Layers[i].Capacity {
+// its capacity.
+func (o *occupancy) fits() bool {
+	for i, tr := range o.trackers {
+		if tr != nil && tr.Peak() > o.plat.Layers[i].Capacity {
 			return false
 		}
 	}
 	return true
 }
 
+// place adds a space consumer to the layer's tracker (a no-op on
+// unbounded layers).
+func (o *occupancy) place(layer int, obj lifetime.Object) {
+	if tr := o.trackers[layer]; tr != nil {
+		tr.Place(obj)
+	}
+}
+
+// unplace removes a previously placed space consumer.
+func (o *occupancy) unplace(layer int, obj lifetime.Object) {
+	if tr := o.trackers[layer]; tr != nil {
+		tr.Unplace(obj)
+	}
+}
+
 // moveArray rehomes array ai, moving its lifetime object between the
 // affected layer trackers.
-func (st *searchState) moveArray(ai, from, to int) {
-	st.homes[ai] = to
-	if !st.sp.arrayUsed[ai] {
+func (o *occupancy) moveArray(ai, from, to int) {
+	o.homes[ai] = to
+	if !o.ws.ArrayUsed[ai] {
 		return
 	}
-	if tr := st.trackers[from]; tr != nil {
-		tr.Unplace(st.sp.arrayObjs[ai])
+	o.unplace(from, o.ws.ArrayObjs[ai])
+	o.place(to, o.ws.ArrayObjs[ai])
+}
+
+// searchState is the mutable position of one DFS worker in the
+// decision tree. It is built once per subtree task (and once for root
+// expansion), then mutated in place: apply takes one decision, undo
+// reverts it. All slices are preallocated; the apply/undo hot path
+// performs no heap allocation.
+type searchState struct {
+	// occupancy holds the trackers and the array homes; undecided
+	// arrays sit on the background layer, which is also the
+	// out-of-the-box placement.
+	occupancy
+	sp *space
+	// chainSel is the selected option index per chain, -1 while
+	// undecided.
+	chainSel []int
+}
+
+// newSearchState returns the root state: every array homed on the
+// background layer and no chain selections.
+func newSearchState(s *space) *searchState {
+	st := &searchState{
+		occupancy: newOccupancy(s.ws, s.plat, s.opts.InPlace),
+		sp:        s,
+		chainSel:  make([]int, len(s.chains)),
 	}
-	if tr := st.trackers[to]; tr != nil {
-		tr.Place(st.sp.arrayObjs[ai])
+	for ci := range s.chains {
+		st.chainSel[ci] = -1
 	}
+	return st
 }
 
 // apply takes decision oi at the given depth (an array home while
@@ -192,9 +226,7 @@ func (st *searchState) apply(depth, oi int) bool {
 		return true
 	}
 	for _, od := range s.chainObjs[ci][oi] {
-		if tr := st.trackers[od.layer]; tr != nil {
-			tr.Place(od.obj)
-		}
+		st.place(od.layer, od.obj)
 	}
 	if !st.fits() {
 		st.undo(depth, oi)
@@ -216,9 +248,7 @@ func (st *searchState) undo(depth, oi int) {
 	ci := depth - len(s.arrays)
 	st.chainSel[ci] = -1
 	for _, od := range s.chainObjs[ci][oi] {
-		if tr := st.trackers[od.layer]; tr != nil {
-			tr.Unplace(od.obj)
-		}
+		st.unplace(od.layer, od.obj)
 	}
 }
 
