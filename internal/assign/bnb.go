@@ -189,11 +189,11 @@ type space struct {
 	base   contrib
 	start  *Assignment
 
-	// Greedy-seeded incumbent (branch and bound only). The seed score
-	// is folded from the same per-decision contributions, in the same
-	// order, as the DFS accumulates leaf scores, so the two are
-	// bit-comparable.
-	seed      *Assignment
+	// Seeded incumbent (branch and bound only): its decision vector
+	// and score. The seed score is folded from the same per-decision
+	// contributions, in the same order, as the DFS accumulates leaf
+	// scores, so the two are bit-comparable.
+	seed      []int
 	seedScore float64
 	hasSeed   bool
 
@@ -330,115 +330,68 @@ func (s *space) suffixAt(depth int) contrib {
 	return s.suffix[depth-len(s.arrays)]
 }
 
-// seedIncumbent runs the greedy engine and installs its assignment as
-// the initial branch-and-bound incumbent, so every subtree task starts
-// with a strong deterministic bound (this replaces cross-task bound
-// sharing, which would make the explored tree depend on scheduling).
-// It reports false when greedy was cancelled or — defensively — when
-// its result does not map onto the decision tables. The mapping is
-// O(1) per decision: homes are matched against the (tiny) per-array
-// home list, selections against the option-key index.
-func (s *space) seedIncumbent() bool {
-	gopts := s.opts
-	gopts.Progress = nil
-	gr := greedySearch(s.ctx, s.ws, s.plat, gopts)
-	if gr == nil {
+// installSeed installs an assignment as the branch-and-bound incumbent
+// when it replays under the current platform (see replay) and scores
+// strictly better than the incumbent already installed. Both seeds go
+// through it: the greedy seed first, then a caller-provided warm-start
+// incumbent — in the L1 sweep's incremental search, the previous
+// (smaller) point's optimal assignment. The warm incumbent's score is
+// re-folded from the current platform's contributions, never carried
+// over (per-size platforms differ in costs, not just capacity), and
+// keeping the stronger of the two bounds guarantees a warm-started
+// search never explores more states than a fresh one, even when the
+// neighboring optimum is a poor fit for the current platform.
+//
+// An installed seed is a feasible leaf of the decision tree whose
+// score is folded in the same order as DFS leaf scores, so it is
+// bit-comparable with them; the search still returns the DFS-first
+// leaf attaining the global minimum, which is what keeps a
+// warm-started complete search byte-identical to a greedy-seeded one
+// in everything but the explored state count. The cross-size dominance
+// pruning this enables is exactly the ordinary bound test: partial
+// assignments whose optimistic bound cannot beat the neighboring
+// point's re-scored optimum are cut from the first root expansion on.
+func (s *space) installSeed(a *Assignment) bool {
+	_, decisions, score, ok := s.replay(a)
+	if !ok || (s.hasSeed && score >= s.seedScore) {
 		return false
 	}
-	a := gr.Assignment
-	acc := s.base
-	for i, arr := range s.arrays {
-		home := a.ArrayHome[arr.Name]
-		found := false
-		for _, h := range s.arrayOpts[i] {
-			if h == home {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-		acc = acc.plus(arrayContrib(s.plat, arr, home))
-	}
-	for i, ch := range s.chains {
-		var lv, ly []int
-		if ca := a.Chains[ch.ID]; ca != nil {
-			lv, ly = ca.Levels, ca.Layers
-		}
-		home := a.ArrayHome[ch.Array.Name]
-		if len(lv) != len(ly) {
-			return false
-		}
-		if len(ly) > 0 && ly[0] >= home {
-			return false
-		}
-		oi, ok := s.lookupOption(i, lv, ly)
-		if !ok {
-			return false
-		}
-		acc = acc.plus(s.chainContribTab[i][home*len(s.chainOpts[i])+oi])
-	}
-	s.seed = a
-	s.seedScore = s.opts.Objective.contribScore(acc)
+	s.seed = decisions
+	s.seedScore = score
 	s.hasSeed = true
 	s.publishBest(s.seedScore)
 	return true
 }
 
-// seedWarm installs a caller-provided warm-start incumbent — in the
-// L1 sweep's incremental search, the previous (smaller) point's
-// optimal assignment — as the initial branch-and-bound bound. The
-// incumbent's decisions are mapped onto this search's decision tables
-// and replayed through a searchState, which re-checks structural
-// validity and capacity feasibility under the *current* platform, and
-// its score is re-folded from the current platform's per-decision
-// contributions (never carried over: per-size platforms differ in
-// costs, not just capacity). An incumbent that no longer maps or fits
-// is rejected and the search keeps the greedy seed; so is one whose
-// re-folded score does not beat the already-installed greedy seed
-// (seedWarm runs after seedIncumbent) — keeping the stronger of the
-// two bounds guarantees a warm-started search never explores more
-// states than a fresh one, even when the neighboring optimum is a
-// poor fit for the current platform.
-//
-// Like the greedy seed, an accepted warm seed is a feasible leaf of
-// the decision tree whose score is folded in the same order as DFS
-// leaf scores, so it is bit-comparable with them; the search still
-// returns the DFS-first leaf attaining the global minimum, which is
-// what keeps a warm-started complete search byte-identical to a
-// greedy-seeded one in everything but the explored state count. The
-// cross-size dominance pruning this enables is exactly the ordinary
-// bound test: partial assignments whose optimistic bound cannot beat
-// the neighboring point's re-scored optimum are cut from the first
-// root expansion on. The seed assignment itself is re-materialized
-// over the current platform, so the MaxStates fallback path returns a
-// correctly-priced assignment too.
-func (s *space) seedWarm(inc *Assignment) bool {
-	decisions, ok := s.mapDecisions(inc)
-	if !ok {
-		return false
-	}
+// seedAssignment materializes the installed seed over the current
+// platform, so the MaxStates fallback returns a correctly-priced
+// assignment even for a warm seed built under another platform.
+func (s *space) seedAssignment() *Assignment {
 	st := newSearchState(s)
-	acc := s.base
+	st.applyPrefix(s.seed)
+	return st.materialize()
+}
+
+// replay reads an assignment back into this search: its decisions are
+// mapped onto the decision tables (mapDecisions), replayed through a
+// fresh searchState — which re-checks structural validity and capacity
+// feasibility under the current platform — and its score is folded
+// from the current platform's per-decision contributions (foldScore).
+// ok is false when the assignment does not map or does not fit. Every
+// seeding path reads assignments through it: both branch-and-bound
+// seeds (installSeed) and the stochastic engine's greedy start.
+func (s *space) replay(a *Assignment) (st *searchState, decisions []int, score float64, ok bool) {
+	decisions, ok = s.mapDecisions(a)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	st = newSearchState(s)
 	for depth, oi := range decisions {
 		if !st.apply(depth, oi) {
-			for d := depth - 1; d >= 0; d-- {
-				st.undo(d, decisions[d])
-			}
-			return false
+			return nil, nil, 0, false
 		}
-		acc = acc.plus(st.contribAt(depth, oi))
 	}
-	score := s.opts.Objective.contribScore(acc)
-	if s.hasSeed && score >= s.seedScore {
-		return false
-	}
-	s.seed = st.materialize()
-	s.seedScore = score
-	s.hasSeed = true
-	s.publishBest(s.seedScore)
-	return true
+	return st, decisions, s.foldScore(st, decisions), true
 }
 
 // mapDecisions maps an assignment's decisions (array homes, chain
@@ -447,10 +400,7 @@ func (s *space) seedWarm(inc *Assignment) bool {
 // or selection does not exist in the tables under the current
 // platform — an incumbent from a smaller L1 may name layers or
 // options this point filtered out. The mapping is structural only;
-// capacity feasibility is the caller's replay through a searchState.
-// Both warm-start seeding (seedWarm) and the stochastic engine's
-// greedy seeding (lns.go) read assignments back into decision vectors
-// through this one helper.
+// capacity feasibility is replay's.
 func (s *space) mapDecisions(a *Assignment) ([]int, bool) {
 	decisions := make([]int, 0, s.levels())
 	for i, arr := range s.arrays {
@@ -650,14 +600,21 @@ func (s *space) tick() {
 func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options, prune bool) *Result {
 	s := newSpace(ctx, ws, plat, opts, prune)
 	if prune {
-		// A warm-start incumbent (Options.Incumbent) replaces the
-		// greedy seed only when it maps, fits and scores strictly
-		// better under this platform; both seeds are feasible leaves,
-		// so the returned assignment is the same either way and the
-		// explored tree can only shrink.
-		s.seedIncumbent()
+		// The greedy assignment seeds the incumbent, so every subtree
+		// task starts with a strong deterministic bound (this replaces
+		// cross-task bound sharing, which would make the explored tree
+		// depend on scheduling). A warm-start incumbent
+		// (Options.Incumbent) replaces it only when it maps, fits and
+		// scores strictly better under this platform; both seeds are
+		// feasible leaves, so the returned assignment is the same
+		// either way and the explored tree can only shrink.
+		gopts := opts
+		gopts.Progress = nil
+		if gr := greedySearch(ctx, ws, plat, gopts); gr != nil {
+			s.installSeed(gr.Assignment)
+		}
 		if opts.Incumbent != nil {
-			s.seedWarm(opts.Incumbent)
+			s.installSeed(opts.Incumbent)
 		}
 	}
 	if ctx.Err() != nil {
@@ -674,31 +631,22 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 	}
 
 	results := make([]taskResult, len(tasks))
-	if workers <= 1 {
-		for i := range tasks {
-			if s.cancelled.Load() {
-				break
-			}
-			results[i] = s.searchTask(tasks[i])
-		}
-	} else {
-		var nextTask atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(nextTask.Add(1)) - 1
-					if i >= len(tasks) || s.cancelled.Load() {
-						return
-					}
-					results[i] = s.searchTask(tasks[i])
+	var nextTask atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(nextTask.Add(1)) - 1
+				if i >= len(tasks) || s.cancelled.Load() {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				results[i] = s.searchTask(tasks[i])
+			}
+		}()
 	}
+	wg.Wait()
 	if s.cancelled.Load() || ctx.Err() != nil {
 		return nil
 	}
@@ -728,7 +676,7 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 		// out-of-the-box baseline.
 		complete = false
 		if s.hasSeed {
-			best = s.seed
+			best = s.seedAssignment()
 		} else {
 			best = s.start
 		}

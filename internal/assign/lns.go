@@ -69,20 +69,13 @@ func lnsSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 	if levels == 0 {
 		return relabel()
 	}
-	// Map the greedy assignment onto the decision tables and replay it
-	// through a searchState. Greedy results always map (they were
-	// built under this platform); the fallbacks are defensive.
-	cur, ok := s.mapDecisions(gr.Assignment)
+	// Read the greedy assignment back into a decision vector and a
+	// searchState. Greedy results always replay (they were built under
+	// this platform); the fallback is defensive.
+	st, cur, curScore, ok := s.replay(gr.Assignment)
 	if !ok {
 		return relabel()
 	}
-	st := newSearchState(s)
-	for depth, oi := range cur {
-		if !st.apply(depth, oi) {
-			return relabel()
-		}
-	}
-	curScore := s.foldScore(st, cur)
 	best := append([]int(nil), cur...)
 	bestScore := curScore
 

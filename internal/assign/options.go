@@ -348,7 +348,7 @@ func SearchWorkspace(ctx context.Context, ws *workspace.Workspace, plat *platfor
 	// The incumbent's decisions are replayed against this workspace's
 	// decision tables, so it must come from the same compiled
 	// workspace. The platform may differ (that is the point of the
-	// warm-start chain) — seedWarm re-validates and re-scores it.
+	// warm-start chain) — installSeed re-validates and re-scores it.
 	if opts.Incumbent != nil && opts.Incumbent.ws != ws {
 		return nil, &OptionError{Field: "Incumbent", Reason: "incumbent assignment was built over a different workspace"}
 	}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mhla/internal/model"
@@ -212,6 +213,38 @@ func TestSearchStateContribMatchesEvaluate(t *testing.T) {
 		slack := 1e-6 * (1 + cost.Energy)
 		if diff := acc.energy - cost.Energy; diff > slack || diff < -slack {
 			t.Errorf("seed %d: accumulated energy %g != evaluated %g", seed, acc.energy, cost.Energy)
+		}
+	}
+}
+
+// TestSeedReplayMatchesGreedy: the greedy assignment, read back
+// through replay and installed as the branch-and-bound seed, is
+// re-materialized to the same decisions at the same cost, so the
+// MaxStates fallback (which returns the seed) returns greedy's answer.
+func TestSeedReplayMatchesGreedy(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		prog, plat, opts := stateScenario(seed)
+		an, err := reuse.Analyze(prog)
+		if err != nil {
+			t.Fatalf("seed %d: analyze: %v", seed, err)
+		}
+		ws := workspace.FromAnalysis(an)
+		opts.MaxGreedyIters = 10_000
+		gr := greedySearch(context.Background(), ws, plat, opts)
+		s := newSpace(context.Background(), ws, plat, opts, true)
+		if !s.installSeed(gr.Assignment) {
+			t.Fatalf("seed %d: greedy assignment does not replay:\n%s", seed, gr.Assignment)
+		}
+		a := s.seedAssignment()
+		if !reflect.DeepEqual(a.ArrayHome, gr.Assignment.ArrayHome) || a.String() != gr.Assignment.String() ||
+			a.InPlace != gr.Assignment.InPlace {
+			t.Errorf("seed %d: seed\n%s\ndiffers from greedy\n%s", seed, a, gr.Assignment)
+		}
+		if cost := a.Evaluate(EvalOptions{}); !reflect.DeepEqual(cost, gr.Cost) {
+			t.Errorf("seed %d: seed cost %+v, greedy cost %+v", seed, cost, gr.Cost)
+		}
+		if s.installSeed(gr.Assignment) {
+			t.Errorf("seed %d: an equal-score seed replaced the incumbent", seed)
 		}
 	}
 }

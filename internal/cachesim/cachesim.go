@@ -44,8 +44,9 @@
 // the line containing its first byte.
 //
 // The simulator is deterministic by construction: the trace order is
-// fixed, all state updates are sequential, and concurrent multi-config
-// sweeps (SimulateAll) are byte-identical at every worker count.
+// fixed, all state updates are sequential and per call, and the shared
+// workspace is read-only, so concurrent Simulate calls are
+// byte-identical to sequential ones.
 package cachesim
 
 import (
@@ -350,7 +351,7 @@ func words(elemSize, wordBytes int) int64 {
 func (st *simState) chargeAccess(layer, elemSize int, write bool) {
 	w := words(elemSize, st.plat.Layers[layer].WordBytes)
 	st.cycles += w * st.plat.AccessCycles(layer, write)
-	st.energy += float64(w) * st.plat.AccessEnergy(layer, write)
+	st.energy += float64(float64(w) * st.plat.AccessEnergy(layer, write))
 }
 
 // access replays one demand access of the trace.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mhla/internal/assign"
@@ -162,68 +164,69 @@ func TestCrossModelDifferential(t *testing.T) {
 	}
 }
 
-// TestSimulateAllDeterministic: a concurrent multi-config sweep renders
-// byte-identical results at every worker count.
-func TestSimulateAllDeterministic(t *testing.T) {
+// TestSimulateConcurrentDeterministic: Simulate calls sharing one
+// workspace from 1, 2, 4 and 8 goroutines render results
+// byte-identical to a sequential run.
+func TestSimulateConcurrentDeterministic(t *testing.T) {
+	type job struct {
+		ws   *workspace.Workspace
+		plat *platform.Platform
+		cfg  Config
+	}
+	var jobs []job
+	for seed := int64(1); seed <= 6; seed++ {
+		sc := diffConfig.Generate(seed)
+		ws, err := workspace.Compile(sc.Program)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		plain := ConfigFor(sc.Platform, 0, 0)
+		nextline := Config{Levels: append([]LevelConfig(nil), plain.Levels...)}
+		for i := range nextline.Levels {
+			nextline.Levels[i].Prefetcher = PrefetchNextLine
+		}
+		for _, cfg := range []Config{{}, plain, nextline} {
+			jobs = append(jobs, job{ws, sc.Platform, cfg})
+		}
+	}
 	var want [][]byte
 	for _, workers := range []int{1, 2, 4, 8} {
-		var got [][]byte
-		for seed := int64(1); seed <= 6; seed++ {
-			sc := diffConfig.Generate(seed)
-			ws, err := workspace.Compile(sc.Program)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			plain := ConfigFor(sc.Platform, 0, 0)
-			nextline := Config{Levels: append([]LevelConfig(nil), plain.Levels...)}
-			for i := range nextline.Levels {
-				nextline.Levels[i].Prefetcher = PrefetchNextLine
-			}
-			cfgs := []Config{{}, plain, nextline}
-			results, err := SimulateAll(context.Background(), ws, sc.Platform, cfgs, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			for _, r := range results {
-				b, err := r.JSON()
-				if err != nil {
-					t.Fatal(err)
+		got := make([][]byte, len(jobs))
+		errs := make([]error, len(jobs))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(jobs) {
+						return
+					}
+					res, err := Simulate(context.Background(), jobs[i].ws, jobs[i].plat, jobs[i].cfg)
+					if err == nil {
+						got[i], err = res.JSON()
+					}
+					errs[i] = err
 				}
-				got = append(got, b)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("workers %d job %d: %v", workers, i, err)
 			}
 		}
 		if want == nil {
 			want = got
 			continue
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers %d: %d results, want %d", workers, len(got), len(want))
-		}
 		for i := range got {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Errorf("workers %d result %d diverges from sequential run:\n%s\nvs\n%s",
 					workers, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestSimulateAllError: a failing configuration cancels the sweep and
-// surfaces its own error, deterministically.
-func TestSimulateAllError(t *testing.T) {
-	sc := progen.Generate(1)
-	ws, err := workspace.Compile(sc.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []Config{
-		{},
-		{Levels: []LevelConfig{{Sets: 3, Ways: 1, LineBytes: 32}}}, // invalid
-		{},
-	}
-	for _, workers := range []int{1, 4} {
-		if _, err := SimulateAll(context.Background(), ws, sc.Platform, cfgs, workers); err == nil {
-			t.Errorf("workers %d: invalid config accepted", workers)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package core orchestrates the complete MHLA-with-time-extensions
-// flow of the paper. External consumers use the pkg/mhla facade; the
-// direct entry points are:
+// flow of the paper. External consumers use the pkg/mhla facade. The
+// program is compiled once into a workspace; the flow then runs over
+// it per platform:
 //
-//	result, err := core.Run(program, core.Config{Platform: energy.TwoLevel(4096)})
-//	result, err := core.RunContext(ctx, program, cfg) // cancellable
+//	ws, err := workspace.Compile(program)
+//	result, err := core.RunWorkspace(ctx, ws, core.Config{Platform: energy.TwoLevel(4096)})
 //
 // The flow is the paper's two-step exploration:
 //
@@ -14,7 +15,7 @@
 //     prefetch scheduling (Figure 1), applicable when the platform
 //     has a DMA engine.
 //
-// Run evaluates the four operating points reported by the paper's
+// The flow evaluates the four operating points reported by the paper's
 // figures: Original (out-of-the-box, everything off-chip), MHLA
 // (step 1), MHLA+TE (both steps) and Ideal (every block transfer
 // hidden — the "0 wait cycles" bound).
@@ -61,7 +62,7 @@ type ProgressFunc func(Progress)
 // WireSearchProgress chains a flow-level progress callback onto the
 // search options: the engine's snapshots are forwarded as PhaseAssign
 // flow progress after any callback already configured on the options.
-// RunContext applies it internally; facade helpers that drive the
+// BeginWorkspace applies it internally; facade helpers that drive the
 // assignment layer directly (Search, Partition) use it to get the
 // same semantics.
 func WireSearchProgress(s assign.Options, fn ProgressFunc) assign.Options {
@@ -123,46 +124,6 @@ type Result struct {
 	Portfolio []assign.EngineRun
 }
 
-// Run executes the full flow on a program. It is RunContext with a
-// background context.
-func Run(p *model.Program, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), p, cfg)
-}
-
-// RunContext executes the full flow on a program, honoring ctx: when
-// it is cancelled mid-flow (including deep inside a long assignment
-// search) RunContext returns promptly with ctx.Err(). It compiles the
-// program's workspace (validation + data-reuse analysis + the
-// program-side tables) itself; callers evaluating one program on many
-// platforms compile once with workspace.Compile and call RunWorkspace
-// per platform instead.
-func RunContext(ctx context.Context, p *model.Program, cfg Config) (*Result, error) {
-	search, enter, err := flowSetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the program before the first progress callback, so a
-	// rejected input never emits a phantom PhaseAnalyze entry.
-	if p == nil {
-		return nil, fmt.Errorf("core: nil program")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := enter(ctx, PhaseAnalyze); err != nil {
-		return nil, err
-	}
-	ws, err := workspace.Compile(p)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	pending, err := beginCompiled(ctx, ws, cfg, search, enter)
-	if err != nil {
-		return nil, err
-	}
-	return pending.Finish(ctx)
-}
-
 // RunWorkspace executes the full flow over a precompiled workspace:
 // program validation, the data-reuse analysis and the program-side
 // tables are reused as-is, and only the platform-dependent work — the
@@ -206,37 +167,23 @@ func BeginWorkspace(ctx context.Context, ws *workspace.Workspace, cfg Config) (*
 	if ws == nil {
 		return nil, fmt.Errorf("core: nil workspace")
 	}
-	search, enter, err := flowSetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The analyze phase is entered for a uniform progress stream even
-	// though the compiled analysis makes it instantaneous.
-	if err := enter(ctx, PhaseAnalyze); err != nil {
-		return nil, err
-	}
-	return beginCompiled(ctx, ws, cfg, search, enter)
-}
-
-// flowSetup validates the flow configuration and prepares the
-// normalized search options and the phase-entry hook shared by
-// RunContext and RunWorkspace. The hook takes the context explicitly
-// because the two flow halves (Begin, Finish) may run under different
-// calls with the same configuration.
-func flowSetup(cfg Config) (assign.Options, func(context.Context, Phase) error, error) {
-	search := cfg.Search
 	if cfg.Platform == nil {
-		return search, nil, fmt.Errorf("core: no platform configured")
+		return nil, fmt.Errorf("core: no platform configured")
 	}
 	if err := cfg.Platform.Validate(); err != nil {
-		return search, nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	search := cfg.Search
 	if search.IsZero() {
 		search = assign.DefaultOptions()
 	}
 	if err := search.Validate(); err != nil {
-		return search, nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	search = WireSearchProgress(search, cfg.Progress)
+	// The phase-entry hook takes the context explicitly because the
+	// two flow halves (Begin, Finish) may run under different calls
+	// with the same configuration.
 	enter := func(ctx context.Context, ph Phase) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -246,14 +193,11 @@ func flowSetup(cfg Config) (assign.Options, func(context.Context, Phase) error, 
 		}
 		return nil
 	}
-	return WireSearchProgress(search, cfg.Progress), enter, nil
-}
-
-// beginCompiled is step 1 (the assignment search) over a compiled
-// workspace and validated configuration.
-func beginCompiled(ctx context.Context, ws *workspace.Workspace, cfg Config, search assign.Options, enter func(context.Context, Phase) error) (*Pending, error) {
-	res := &Result{Program: ws.Program, Platform: cfg.Platform, Analysis: ws.Analysis}
-
+	// The analyze phase is entered for a uniform progress stream even
+	// though the compiled analysis makes it instantaneous.
+	if err := enter(ctx, PhaseAnalyze); err != nil {
+		return nil, err
+	}
 	if err := enter(ctx, PhaseAssign); err != nil {
 		return nil, err
 	}
@@ -264,12 +208,17 @@ func beginCompiled(ctx context.Context, ws *workspace.Workspace, cfg Config, sea
 		}
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	res.Assignment = sr.Assignment
-	res.Original = sr.Baseline
-	res.MHLA = sr.Cost
-	res.SearchStates = sr.States
-	res.Engine = sr.Engine
-	res.Portfolio = sr.Portfolio
+	res := &Result{
+		Program:      ws.Program,
+		Platform:     cfg.Platform,
+		Analysis:     ws.Analysis,
+		Assignment:   sr.Assignment,
+		Original:     sr.Baseline,
+		MHLA:         sr.Cost,
+		SearchStates: sr.States,
+		Engine:       sr.Engine,
+		Portfolio:    sr.Portfolio,
+	}
 	return &Pending{cfg: cfg, res: res, enter: enter}, nil
 }
 

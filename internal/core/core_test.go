@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/energy"
 	"mhla/internal/model"
+	"mhla/internal/workspace"
 )
 
 func TestRunOrderingInvariantsAllApps(t *testing.T) {
@@ -19,7 +21,7 @@ func TestRunOrderingInvariantsAllApps(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			p := app.Build(apps.Test)
-			res, err := Run(p, Config{Platform: energy.TwoLevel(app.L1)})
+			res, err := run(p, Config{Platform: energy.TwoLevel(app.L1)})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -54,7 +56,7 @@ func TestRunOrderingInvariantsAllApps(t *testing.T) {
 
 func TestRunPaperScaleME(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := Run(app.Build(apps.Paper), Config{Platform: energy.TwoLevel(app.L1)})
+	res, err := run(app.Build(apps.Paper), Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -78,7 +80,7 @@ func TestRunPaperScaleME(t *testing.T) {
 
 func TestRunWithoutDMA(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := Run(app.Build(apps.Test), Config{Platform: energy.TwoLevelNoDMA(app.L1)})
+	res, err := run(app.Build(apps.Test), Config{Platform: energy.TwoLevelNoDMA(app.L1)})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -92,7 +94,7 @@ func TestRunWithoutDMA(t *testing.T) {
 
 func TestRunDisableTE(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := Run(app.Build(apps.Test), Config{Platform: energy.TwoLevel(app.L1), DisableTE: true})
+	res, err := run(app.Build(apps.Test), Config{Platform: energy.TwoLevel(app.L1), DisableTE: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -107,11 +109,11 @@ func TestRunDisableTE(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	app, _ := apps.ByName("me")
 	p := app.Build(apps.Test)
-	if _, err := Run(p, Config{}); err == nil || !strings.Contains(err.Error(), "no platform") {
+	if _, err := run(p, Config{}); err == nil || !strings.Contains(err.Error(), "no platform") {
 		t.Errorf("missing platform: err = %v", err)
 	}
 	bad := model.NewProgram("bad")
-	if _, err := Run(bad, Config{Platform: energy.TwoLevel(1024)}); err == nil {
+	if _, err := run(bad, Config{Platform: energy.TwoLevel(1024)}); err == nil {
 		t.Error("Run accepted an invalid program")
 	}
 }
@@ -121,7 +123,7 @@ func TestRunCustomSearchOptions(t *testing.T) {
 	p := app.Build(apps.Test)
 	opts := assign.DefaultOptions()
 	opts.Objective = assign.MinTime
-	res, err := Run(p, Config{Platform: energy.TwoLevel(app.L1), Search: opts})
+	res, err := run(p, Config{Platform: energy.TwoLevel(app.L1), Search: opts})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -132,7 +134,7 @@ func TestRunCustomSearchOptions(t *testing.T) {
 
 func TestSummaryRendering(t *testing.T) {
 	app, _ := apps.ByName("sobel")
-	res, err := Run(app.Build(apps.Test), Config{Platform: energy.TwoLevel(app.L1)})
+	res, err := run(app.Build(apps.Test), Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -158,4 +160,13 @@ func TestGainsNormalization(t *testing.T) {
 	if boost := r.TEBoost(); boost < 0.2-1e-12 || boost > 0.2+1e-12 {
 		t.Errorf("TEBoost = %v, want 0.2", boost)
 	}
+}
+
+// run compiles p and runs the full flow over its workspace.
+func run(p *model.Program, cfg Config) (*Result, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return RunWorkspace(context.Background(), ws, cfg)
 }

@@ -17,7 +17,7 @@ func TestThreeLevelHierarchy(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			plat := energy.ThreeLevel(app.L1/2, app.L1*4)
-			res, err := Run(app.Build(apps.Test), Config{Platform: plat})
+			res, err := run(app.Build(apps.Test), Config{Platform: plat})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -56,7 +56,7 @@ func TestThreeLevelUsesMiddleLayer(t *testing.T) {
 	used := false
 	for _, app := range apps.All() {
 		plat := energy.ThreeLevel(256, 32*1024)
-		res, err := Run(app.Build(apps.Test), Config{Platform: plat})
+		res, err := run(app.Build(apps.Test), Config{Platform: plat})
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}

@@ -1,6 +1,7 @@
 package dmasim
 
 import (
+	"context"
 	"testing"
 
 	"mhla/internal/apps"
@@ -10,6 +11,7 @@ import (
 	"mhla/internal/model"
 	"mhla/internal/reuse"
 	"mhla/internal/te"
+	"mhla/internal/workspace"
 )
 
 // runApp executes the full flow for one app/scale.
@@ -19,7 +21,7 @@ func runApp(t *testing.T, name string, scale apps.Scale) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(app.Build(scale), core.Config{Platform: energy.TwoLevel(app.L1)})
+	res, err := runFlow(app.Build(scale), core.Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +242,7 @@ func TestNoDMAPlatformSimulates(t *testing.T) {
 	// Without a DMA engine every transfer is a software copy; the
 	// event model must still match the analytical count exactly.
 	app, _ := apps.ByName("me")
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevelNoDMA(app.L1)})
+	res, err := runFlow(app.Build(apps.Test), core.Config{Platform: energy.TwoLevelNoDMA(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,4 +256,13 @@ func TestNoDMAPlatformSimulates(t *testing.T) {
 	if sim.MaxChannelsBusy != 0 {
 		t.Errorf("channels used without DMA: %d", sim.MaxChannelsBusy)
 	}
+}
+
+// runFlow compiles p and runs the full flow over its workspace.
+func runFlow(p *model.Program, cfg core.Config) (*core.Result, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunWorkspace(context.Background(), ws, cfg)
 }

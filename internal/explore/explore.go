@@ -5,11 +5,11 @@
 // exploration for different memory layer sizes" the technique claims
 // as its purpose.
 //
-// The sweep compiles the program's workspace (validation, data-reuse
-// analysis, lifetime tables) exactly once and evaluates the sweep
-// points concurrently over a bounded worker pool: every point shares
-// the immutable workspace and rebuilds only the platform-dependent
-// half of the flow. Results are deterministic — Points come back in
+// The sweep runs over the program's compiled workspace (validation,
+// data-reuse analysis, lifetime tables — built once by
+// workspace.Compile) and evaluates the sweep points concurrently over
+// a bounded worker pool: every point shares the immutable workspace
+// and rebuilds only the platform-dependent half of the flow. Results are deterministic — Points come back in
 // size order and each point's Result is independent of scheduling.
 package explore
 
@@ -26,7 +26,6 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/core"
 	"mhla/internal/energy"
-	"mhla/internal/model"
 	"mhla/internal/pareto"
 	"mhla/internal/workspace"
 )
@@ -75,43 +74,6 @@ type Options struct {
 	// Workers bounds the sweep points evaluated concurrently; <= 0
 	// means GOMAXPROCS. Results are identical at every worker count.
 	Workers int
-}
-
-// Run sweeps the given on-chip sizes for one program using the
-// two-level experiment platform. A zero options value means
-// assign.DefaultOptions(). It is RunContext with a background
-// context.
-func Run(p *model.Program, sizes []int64, opts assign.Options) (*Sweep, error) {
-	return RunContext(context.Background(), p, sizes, opts)
-}
-
-// RunContext sweeps the given on-chip sizes for one program, honoring
-// cancellation between and inside sweep points: when ctx is cancelled
-// it returns promptly with ctx.Err().
-func RunContext(ctx context.Context, p *model.Program, sizes []int64, opts assign.Options) (*Sweep, error) {
-	return RunFlow(ctx, p, sizes, core.Config{Search: opts})
-}
-
-// RunFlow is RunContext with the full flow configuration (progress
-// callbacks, DisableTE, ...); cfg.Platform is ignored — the sweep
-// constructs the two-level platform per size. The program is compiled
-// once and the points run concurrently (GOMAXPROCS workers); use
-// SweepWorkspace directly to bound the workers or to reuse an
-// existing workspace.
-func RunFlow(ctx context.Context, p *model.Program, sizes []int64, cfg core.Config) (*Sweep, error) {
-	// Validate the search options once up front, so a bad
-	// configuration fails fast with the typed error instead of
-	// surfacing wrapped in the first sweep point's size context.
-	if !cfg.Search.IsZero() {
-		if err := cfg.Search.Validate(); err != nil {
-			return nil, fmt.Errorf("explore: %w", err)
-		}
-	}
-	ws, err := workspace.Compile(p)
-	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
-	}
-	return SweepWorkspace(ctx, ws, sizes, Options{Config: cfg})
 }
 
 // SweepWorkspace sweeps the given on-chip sizes over a precompiled

@@ -1,21 +1,25 @@
 package explore
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"mhla/internal/apps"
 	"mhla/internal/assign"
+	"mhla/internal/core"
+	"mhla/internal/model"
+	"mhla/internal/workspace"
 )
 
 func TestSweepDurbin(t *testing.T) {
 	app, _ := apps.ByName("durbin")
 	p := app.Build(apps.Test)
 	sizes := []int64{256, 1024, 4096}
-	sw, err := Run(p, sizes, assign.DefaultOptions())
+	sw, err := sweep(t, p, sizes, assign.DefaultOptions())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
 	if len(sw.Points) != 3 {
 		t.Fatalf("points = %d", len(sw.Points))
@@ -37,9 +41,9 @@ func TestSweepDurbin(t *testing.T) {
 
 func TestSweepFrontierNonEmpty(t *testing.T) {
 	app, _ := apps.ByName("voice")
-	sw, err := Run(app.Build(apps.Test), []int64{256, 1024, 4096}, assign.DefaultOptions())
+	sw, err := sweep(t, app.Build(apps.Test), []int64{256, 1024, 4096}, assign.DefaultOptions())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
 	front := sw.Frontier()
 	if len(front) == 0 {
@@ -91,9 +95,9 @@ func TestDefaultSizes(t *testing.T) {
 
 func TestSweepCSVAndString(t *testing.T) {
 	app, _ := apps.ByName("sobel")
-	sw, err := Run(app.Build(apps.Test), []int64{512}, assign.DefaultOptions())
+	sw, err := sweep(t, app.Build(apps.Test), []int64{512}, assign.DefaultOptions())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
 	csv := sw.CSV()
 	if !strings.HasPrefix(csv, "app,l1_bytes,orig_cycles") {
@@ -119,9 +123,9 @@ func TestSweepSchemaEngineProvenance(t *testing.T) {
 	for _, engine := range []assign.Engine{assign.Greedy, assign.BranchBound, assign.Stochastic} {
 		opts := assign.DefaultOptions()
 		opts.Engine = engine
-		sw, err := Run(p, []int64{512}, opts)
+		sw, err := sweep(t, p, []int64{512}, opts)
 		if err != nil {
-			t.Fatalf("%v: Run: %v", engine, err)
+			t.Fatalf("%v: sweep: %v", engine, err)
 		}
 		data, err := sw.JSON()
 		if err != nil {
@@ -160,11 +164,21 @@ func TestSweepSchemaEngineProvenance(t *testing.T) {
 
 func TestSweepDefaultsWhenNoSizes(t *testing.T) {
 	app, _ := apps.ByName("durbin")
-	sw, err := Run(app.Build(apps.Test), nil, assign.DefaultOptions())
+	sw, err := sweep(t, app.Build(apps.Test), nil, assign.DefaultOptions())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
 	if len(sw.Points) != len(DefaultSizes()) {
 		t.Errorf("points = %d, want %d", len(sw.Points), len(DefaultSizes()))
 	}
+}
+
+// sweep compiles p and sweeps the given sizes over its workspace.
+func sweep(t *testing.T, p *model.Program, sizes []int64, opts assign.Options) (*Sweep, error) {
+	t.Helper()
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SweepWorkspace(context.Background(), ws, sizes, Options{Config: core.Config{Search: opts}})
 }

@@ -18,7 +18,6 @@ import (
 
 	"mhla/internal/assign"
 	"mhla/internal/core"
-	"mhla/internal/energy"
 	"mhla/internal/explore"
 	"mhla/internal/progen"
 	"mhla/internal/workspace"
@@ -55,12 +54,7 @@ func TestSweepWorkspaceWarmStartMatchesFresh(t *testing.T) {
 			t.Parallel()
 			fresh := make([]*core.Result, len(warmSizes))
 			for i, l1 := range warmSizes {
-				res, err := core.RunContext(context.Background(), sc.Program,
-					core.Config{Platform: energy.TwoLevel(l1), Search: warmOptions(sc)})
-				if err != nil {
-					t.Fatalf("seed %d: fresh run at %dB: %v", sc.Seed, l1, err)
-				}
-				fresh[i] = res
+				fresh[i] = freshPoint(t, sc, l1, warmOptions(sc))
 			}
 			ws, err := workspace.Compile(sc.Program)
 			if err != nil {

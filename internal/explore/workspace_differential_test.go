@@ -47,12 +47,17 @@ func sweepOptions(sc *progen.Scenario) assign.Options {
 	return opts
 }
 
-// freshPoint runs the full flow from scratch (validate + analyze +
-// tables per call) at one size — the pre-workspace behavior.
-func freshPoint(t *testing.T, sc *progen.Scenario, l1 int64) *core.Result {
+// freshPoint runs the full flow from scratch at one size: the program
+// is compiled into a workspace of its own (validate + analyze + tables
+// per call), shared with no other point.
+func freshPoint(t *testing.T, sc *progen.Scenario, l1 int64, opts assign.Options) *core.Result {
 	t.Helper()
-	res, err := core.RunContext(context.Background(), sc.Program,
-		core.Config{Platform: energy.TwoLevel(l1), Search: sweepOptions(sc)})
+	ws, err := workspace.Compile(sc.Program)
+	if err != nil {
+		t.Fatalf("seed %d: fresh compile at %dB: %v", sc.Seed, l1, err)
+	}
+	res, err := core.RunWorkspace(context.Background(), ws,
+		core.Config{Platform: energy.TwoLevel(l1), Search: opts})
 	if err != nil {
 		t.Fatalf("seed %d: fresh run at %dB: %v", sc.Seed, l1, err)
 	}
@@ -133,7 +138,7 @@ func TestSweepWorkspaceMatchesFreshRuns(t *testing.T) {
 			t.Parallel()
 			fresh := make([]*core.Result, len(sweepSizes))
 			for i, l1 := range sweepSizes {
-				fresh[i] = freshPoint(t, sc, l1)
+				fresh[i] = freshPoint(t, sc, l1, sweepOptions(sc))
 			}
 			ws, err := workspace.Compile(sc.Program)
 			if err != nil {

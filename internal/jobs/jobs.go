@@ -407,6 +407,10 @@ func (m *Manager) Watch(id string) (notify <-chan struct{}, stop func(), ok bool
 	}, true
 }
 
+// Workers returns the resolved worker-pool size (Config.Workers after
+// defaults).
+func (m *Manager) Workers() int { return m.cfg.Workers }
+
 // Stats snapshots the manager counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()

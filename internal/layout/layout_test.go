@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"mhla/internal/core"
 	"mhla/internal/energy"
 	"mhla/internal/lifetime"
+	"mhla/internal/model"
+	"mhla/internal/workspace"
 )
 
 func TestMapAllAppsValidAndFits(t *testing.T) {
@@ -19,7 +22,7 @@ func TestMapAllAppsValidAndFits(t *testing.T) {
 	for _, app := range apps.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+			res, err := runFlow(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +143,7 @@ func TestQuickStaticPlacementIsSum(t *testing.T) {
 
 func TestMapString(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+	res, err := runFlow(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestMapString(t *testing.T) {
 
 func TestMapRejectsInvalidAssignment(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+	res, err := runFlow(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,4 +170,13 @@ func TestMapRejectsInvalidAssignment(t *testing.T) {
 	if _, err := Map(bad); err == nil {
 		t.Fatal("Map accepted an invalid assignment")
 	}
+}
+
+// runFlow compiles p and runs the full flow over its workspace.
+func runFlow(p *model.Program, cfg core.Config) (*core.Result, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunWorkspace(context.Background(), ws, cfg)
 }

@@ -83,19 +83,6 @@ func (e *Estimator) Peak(objects []Object) int64 {
 	return peak
 }
 
-// PeakBlock returns the peak occupancy and the first block where it
-// occurs (-1 when there are no blocks).
-func (e *Estimator) PeakBlock(objects []Object) (int64, int) {
-	var peak int64
-	block := -1
-	for b, v := range e.Profile(objects) {
-		if v > peak {
-			peak, block = v, b
-		}
-	}
-	return peak, block
-}
-
 // Span is the lifetime of one array in block indices.
 type Span struct {
 	Start, End int

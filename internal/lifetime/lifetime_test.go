@@ -26,10 +26,6 @@ func TestProfileAndPeak(t *testing.T) {
 	if got := e.Peak(objs); got != 200 {
 		t.Errorf("Peak = %d, want 200", got)
 	}
-	peak, block := e.PeakBlock(objs)
-	if peak != 200 || block != 3 {
-		t.Errorf("PeakBlock = %d,%d, want 200,3", peak, block)
-	}
 }
 
 func TestPeakWithoutInPlace(t *testing.T) {
@@ -47,9 +43,6 @@ func TestPeakEmptyAndClamping(t *testing.T) {
 	e := &Estimator{NumBlocks: 3, InPlace: true}
 	if got := e.Peak(nil); got != 0 {
 		t.Errorf("Peak(nil) = %d", got)
-	}
-	if _, block := e.PeakBlock(nil); block != -1 {
-		t.Errorf("PeakBlock(nil) block = %d, want -1", block)
 	}
 	// Out-of-range lifetimes are clamped, not dropped.
 	objs := []Object{{ID: "x", Bytes: 10, Start: -5, End: 99}}

@@ -1,12 +1,15 @@
 package modelio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"mhla/internal/apps"
 	"mhla/internal/core"
 	"mhla/internal/energy"
+	"mhla/internal/model"
+	"mhla/internal/workspace"
 )
 
 func TestRoundTripAllApps(t *testing.T) {
@@ -29,11 +32,11 @@ func TestRoundTripAllApps(t *testing.T) {
 				t.Errorf("round-trip changed the program:\n%s\nvs\n%s", orig, back)
 			}
 			plat := energy.TwoLevel(app.L1)
-			r1, err := core.Run(orig, core.Config{Platform: plat})
+			r1, err := runFlow(orig, core.Config{Platform: plat})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := core.Run(back, core.Config{Platform: plat})
+			r2, err := runFlow(back, core.Config{Platform: plat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +80,7 @@ func TestDecodeProgramFromHandWrittenJSON(t *testing.T) {
 		t.Errorf("counts = %v", counts)
 	}
 	// And it runs through the full flow.
-	res, err := core.Run(p, core.Config{Platform: energy.TwoLevel(1024)})
+	res, err := runFlow(p, core.Config{Platform: energy.TwoLevel(1024)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,4 +143,13 @@ func TestDecodePlatformRejectsInvalid(t *testing.T) {
 	if _, err := DecodePlatform([]byte(`nope`)); err == nil {
 		t.Fatal("accepted junk")
 	}
+}
+
+// runFlow compiles p and runs the full flow over its workspace.
+func runFlow(p *model.Program, cfg core.Config) (*core.Result, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunWorkspace(context.Background(), ws, cfg)
 }

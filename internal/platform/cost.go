@@ -64,7 +64,7 @@ func (p *Platform) TransferEnergy(src, dst int, bytes int64) float64 {
 		return 0
 	}
 	s, d := &p.Layers[src], &p.Layers[dst]
-	e := float64(s.Words(bytes))*s.EnergyRead + float64(d.Words(bytes))*d.EnergyWrite
+	e := float64(float64(s.Words(bytes))*s.EnergyRead) + float64(float64(d.Words(bytes))*d.EnergyWrite)
 	if p.UsesDMA(bytes) {
 		e += p.DMA.EnergyPerTransfer
 	} else {

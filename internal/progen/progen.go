@@ -155,7 +155,7 @@ func (c Config) genPlatform(rng *rand.Rand) *platform.Platform {
 	onChip := 1 + rng.Intn(c.MaxOnChip)
 	word := 2 << rng.Intn(2) // 2 or 4 bytes
 	capacity := int64(64 << rng.Intn(5))
-	energy := 0.5 + rng.Float64()
+	energy := 0.5 + float64(rng.Float64())
 	latency := 1
 	burst := 4 << rng.Intn(2)
 
@@ -172,15 +172,15 @@ func (c Config) genPlatform(rng *rand.Rand) *platform.Platform {
 			BurstBytesPerCycle: burst,
 		})
 		capacity *= int64(2 + rng.Intn(7))
-		energy *= 2 + 4*rng.Float64()
+		energy *= 2 + float64(4*rng.Float64())
 		latency += 1 + rng.Intn(3)
 	}
 	p.Layers = append(p.Layers, platform.Layer{
 		Name:               "SDRAM",
 		Capacity:           0,
 		WordBytes:          word,
-		EnergyRead:         energy * (4 + 8*rng.Float64()),
-		EnergyWrite:        energy * (4.5 + 8*rng.Float64()),
+		EnergyRead:         energy * (4 + float64(8*rng.Float64())),
+		EnergyWrite:        energy * (4.5 + float64(8*rng.Float64())),
 		LatencyRead:        latency + 6 + rng.Intn(18),
 		LatencyWrite:       latency + 6 + rng.Intn(18),
 		BurstBytesPerCycle: 2 << rng.Intn(2),

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/core"
 	"mhla/internal/energy"
+	"mhla/internal/model"
+	"mhla/internal/workspace"
 )
 
 func testResults(t *testing.T) []AppResult {
@@ -15,7 +18,7 @@ func testResults(t *testing.T) []AppResult {
 	var out []AppResult
 	for _, name := range []string{"durbin", "voice"} {
 		app, _ := apps.ByName(name)
-		res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+		res, err := runFlow(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
 		if err != nil {
 			t.Fatalf("Run(%s): %v", name, err)
 		}
@@ -86,7 +89,7 @@ func TestFigure2UsesCustomOptions(t *testing.T) {
 	app, _ := apps.ByName("durbin")
 	opts := assign.DefaultOptions()
 	opts.Objective = assign.MinTime
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1), Search: opts})
+	res, err := runFlow(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1), Search: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,4 +97,13 @@ func TestFigure2UsesCustomOptions(t *testing.T) {
 	if !strings.Contains(s, "durbin") {
 		t.Error("missing app row")
 	}
+}
+
+// runFlow compiles p and runs the full flow over its workspace.
+func runFlow(p *model.Program, cfg core.Config) (*core.Result, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunWorkspace(context.Background(), ws, cfg)
 }

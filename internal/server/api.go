@@ -307,37 +307,41 @@ func (ref programRef) resolve() (*mhla.Program, *apiError) {
 	}
 }
 
-// runRequest is the POST /v1/run body.
-type runRequest struct {
-	programRef
+// platformRef selects the platform of a run or simulate request.
+type platformRef struct {
 	// Platform is a full interchange-format platform; mutually
 	// exclusive with L1Bytes. Neither means the default two-level
 	// platform.
 	Platform json.RawMessage `json:"platform,omitempty"`
 	L1Bytes  int64           `json:"l1_bytes,omitempty"`
-	searchParams
 }
 
-// platformOptions maps the request's platform selection onto facade
-// options.
-func (req *runRequest) platformOptions() ([]mhla.Option, *apiError) {
-	if len(req.Platform) > 0 && req.L1Bytes != 0 {
+// platform resolves the platform selection to a concrete platform.
+func (ref platformRef) platform() (*mhla.Platform, *apiError) {
+	if len(ref.Platform) > 0 && ref.L1Bytes != 0 {
 		return nil, badRequest("bad_request", "at most one of platform and l1_bytes may be set")
 	}
-	if len(req.Platform) > 0 {
-		plat, err := mhla.DecodePlatform(req.Platform)
+	if len(ref.Platform) > 0 {
+		plat, err := mhla.DecodePlatform(ref.Platform)
 		if err != nil {
 			return nil, badRequest("invalid_platform", "%v", err)
 		}
-		return []mhla.Option{mhla.WithPlatform(plat)}, nil
+		return plat, nil
 	}
-	if req.L1Bytes != 0 {
-		if req.L1Bytes < 0 {
-			return nil, badRequest("invalid_option", "l1_bytes %d must be positive", req.L1Bytes)
+	if ref.L1Bytes != 0 {
+		if ref.L1Bytes < 0 {
+			return nil, badRequest("invalid_option", "l1_bytes %d must be positive", ref.L1Bytes)
 		}
-		return []mhla.Option{mhla.WithL1(req.L1Bytes)}, nil
+		return mhla.TwoLevel(ref.L1Bytes), nil
 	}
-	return nil, nil
+	return mhla.TwoLevel(mhla.DefaultL1), nil
+}
+
+// runRequest is the POST /v1/run body.
+type runRequest struct {
+	programRef
+	platformRef
+	searchParams
 }
 
 // sweepRequest is the POST /v1/sweep body. The sweep constructs the

@@ -33,42 +33,26 @@ type jobSubmitRequest struct {
 }
 
 // buildWork decodes and validates the nested request of a job
-// submission, per kind. The validation path is exactly the synchronous
-// endpoint's: the same strict decode rules, the same typed rejections,
-// the same work value — which is what keeps async results
-// byte-identical to sync responses.
+// submission through the computeKinds table. The validation path is
+// exactly the synchronous endpoint's: the same request type, the same
+// strict decode rules, the same typed rejections, the same work value
+// — which is what keeps async results byte-identical to sync
+// responses.
 func (s *Server) buildWork(kind string, raw json.RawMessage) (work, *apiError) {
 	if len(raw) == 0 {
 		return nil, badRequest("bad_request", "request must carry the nested compute request object")
 	}
-	switch kind {
-	case "run":
-		var req runRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
+	for _, k := range computeKinds {
+		if k.name != kind {
+			continue
+		}
+		req := k.newRequest()
+		if apiErr := decodeStrictBytes(raw, req); apiErr != nil {
 			return nil, apiErr
 		}
 		return req.work(s)
-	case "sweep":
-		var req sweepRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	case "batch":
-		var req batchRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	case "simulate":
-		var req simulateRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	default:
-		return nil, badRequest("bad_request", "unknown kind %q (want run, sweep, batch or simulate)", kind)
 	}
+	return nil, badRequest("bad_request", "unknown kind %q (want run, sweep, batch or simulate)", kind)
 }
 
 // serverTask adapts a validated work value to the jobs.Task interface.
@@ -159,7 +143,7 @@ func jobEnvelope(st jobs.Snapshot) jobJSON {
 		Created:  st.Created,
 	}
 	if t, ok := st.Task.(*serverTask); ok {
-		out.Kind = t.wk.kind()
+		out.Kind = t.jobKind
 	}
 	if st.State == jobs.Queued && st.Position >= 0 {
 		pos := st.Position
@@ -278,11 +262,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			// Retry-After derived from the backlog depth and the observed
 			// job drain rate, so clients back off for as long as the
 			// queue ahead of them will actually take.
-			workers := s.cfg.JobWorkers
-			if workers <= 0 {
-				workers = 2 // the job manager's default pool size
-			}
-			hint := retryAfterSeconds(s.jobs.Stats().Queued, s.jobRate.perSec(time.Now()), float64(workers))
+			hint := retryAfterSeconds(s.jobs.Stats().Queued, s.jobRate.perSec(time.Now()), float64(s.jobs.Workers()))
 			(&apiError{status: http.StatusTooManyRequests, code: "backlog_full",
 				msg: "job backlog full; retry later", retryAfter: hint}).write(w)
 			return

@@ -157,6 +157,70 @@ func TestJobsDifferential(t *testing.T) {
 	}
 }
 
+// kindRequest is one request body of TestJobsMatchSyncEveryKind and
+// the status its synchronous response must carry.
+type kindRequest struct {
+	body   string
+	status int
+}
+
+// kindRequests are the requests of TestJobsMatchSyncEveryKind, per
+// compute kind. The failing simulate request passes intake but fails
+// at execute (its trace exceeds max_accesses), so a failed job's error
+// envelope is compared too.
+var kindRequests = map[string][]kindRequest{
+	"run": {
+		{`{"app":"durbin","scale":"test","l1_bytes":512}`, http.StatusOK},
+		{`{"app":"me","scale":"test","engine":"bnb","objective":"edp","workers":2}`, http.StatusOK},
+	},
+	"sweep": {
+		{`{"app":"durbin","scale":"test","sizes":[4096,256,1024]}`, http.StatusOK},
+		{`{"app":"sobel","scale":"test","sizes":[512,2048],"engine":"bnb"}`, http.StatusOK},
+	},
+	"batch": {
+		{`{"apps":["durbin","me"],"scale":"test","l1_sizes":[512,2048],"objectives":["energy","time"]}`, http.StatusOK},
+	},
+	"simulate": {
+		{`{"app":"durbin","scale":"test","l1_bytes":1024}`, http.StatusOK},
+		{`{"app":"me","scale":"test","levels":[{"sets":8,"ways":2,"line_bytes":16,"prefetcher":"nextline"}]}`, http.StatusOK},
+		{`{"app":"durbin","scale":"test","max_accesses":5}`, http.StatusBadRequest},
+	},
+}
+
+// TestJobsMatchSyncEveryKind: for every kind of the computeKinds table,
+// the synchronous route's response and the result of the same body
+// submitted as an async job carry the same status and byte-identical
+// bodies. The loop runs over the table, so a new kind without test
+// requests fails here instead of going unchecked.
+func TestJobsMatchSyncEveryKind(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, k := range computeKinds {
+		reqs := kindRequests[k.name]
+		if len(reqs) == 0 {
+			t.Errorf("kind %q has no requests in kindRequests", k.name)
+		}
+		for _, req := range reqs {
+			syncCode, syncBody := postJob(t, ts.URL+"/v1/"+k.name, req.body, "")
+			if syncCode != req.status {
+				t.Errorf("%s %s: sync status %d, want %d: %s", k.name, req.body, syncCode, req.status, syncBody)
+			}
+			job := submitJob(t, ts.URL, k.name, req.body, "", 5)
+			deadline := time.Now().Add(2 * time.Minute)
+			for env := getJob(t, ts.URL, job.ID); !terminal(env.State); env = getJob(t, ts.URL, job.ID) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s job %s stuck in %q", k.name, job.ID, env.State)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			code, got := get(t, ts.URL+"/v1/jobs/"+job.ID+"/result")
+			if code != syncCode || !bytes.Equal(got, syncBody) {
+				t.Errorf("%s %s: async result (status %d) diverged from sync response (status %d)\nasync: %s\nsync: %s",
+					k.name, req.body, code, syncCode, got, syncBody)
+			}
+		}
+	}
+}
+
 // quickRunRequest is a fast catalog-app run, the filler job of the
 // queue tests.
 const quickRunRequest = `{"app":"durbin","scale":"test","l1_bytes":512}`

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"net/http"
 
 	"mhla/pkg/mhla"
 )
@@ -38,11 +36,7 @@ type simLevelJSON struct {
 // simulateRequest is the POST /v1/simulate body.
 type simulateRequest struct {
 	programRef
-	// Platform is a full interchange-format platform; mutually
-	// exclusive with L1Bytes. Neither means the default two-level
-	// platform.
-	Platform json.RawMessage `json:"platform,omitempty"`
-	L1Bytes  int64           `json:"l1_bytes,omitempty"`
+	platformRef
 	// Levels configures the cache hierarchy explicitly. Absent means a
 	// default hierarchy derived from the platform's on-chip layers
 	// (mhla.CacheConfigFor); present but empty means no caches — the
@@ -50,29 +44,6 @@ type simulateRequest struct {
 	Levels *[]simLevelJSON `json:"levels,omitempty"`
 	// MaxAccesses bounds the replayed trace (0 = the facade default).
 	MaxAccesses int64 `json:"max_accesses,omitempty"`
-}
-
-// platformValue resolves the request's platform selection to the
-// concrete platform the cache config is derived from and validated
-// against.
-func (req *simulateRequest) platformValue() (*mhla.Platform, *apiError) {
-	if len(req.Platform) > 0 && req.L1Bytes != 0 {
-		return nil, badRequest("bad_request", "at most one of platform and l1_bytes may be set")
-	}
-	if len(req.Platform) > 0 {
-		plat, err := mhla.DecodePlatform(req.Platform)
-		if err != nil {
-			return nil, badRequest("invalid_platform", "%v", err)
-		}
-		return plat, nil
-	}
-	if req.L1Bytes != 0 {
-		if req.L1Bytes < 0 {
-			return nil, badRequest("invalid_option", "l1_bytes %d must be positive", req.L1Bytes)
-		}
-		return mhla.TwoLevel(req.L1Bytes), nil
-	}
-	return mhla.TwoLevel(mhla.DefaultL1), nil
 }
 
 // cacheConfig maps the request's cache selection onto the facade
@@ -129,18 +100,4 @@ func mapSimulateError(err error) *apiError {
 		return badRequest("too_many_accesses", "%v", err)
 	}
 	return mapRunError(err)
-}
-
-// handleSimulate serves POST /v1/simulate: the trace-driven cache +
-// prefetch simulation of one program+platform, answered with
-// mhla.SimulateJSON bytes (byte-identical to the direct facade call,
-// like every compute endpoint).
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.serveCompute(w, r, func() (work, *apiError) {
-		var req simulateRequest
-		if apiErr := decodeRequest(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	})
 }

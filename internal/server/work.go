@@ -15,14 +15,44 @@ import (
 // async job, which is what makes the job-mode differential guarantee
 // hold by construction: both paths are this one code path.
 type work interface {
-	// kind names the work for job envelopes and stats ("run", "sweep",
-	// "batch", "simulate").
-	kind() string
 	// execute runs the compute stage and returns exactly the bytes the
 	// synchronous endpoint writes on success. progress, when non-nil,
 	// observes the flow (the caller has already chained the server-wide
 	// observer and any per-job publisher via mhla.TeeProgress).
 	execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError)
+}
+
+// request is a decoded compute request body. work validates it and
+// resolves its program into a runnable work value.
+type request interface {
+	work(s *Server) (work, *apiError)
+}
+
+// computeKind is one compute request kind: the job-submission kind
+// and, under /v1/<name>, the synchronous route.
+type computeKind struct {
+	name string
+	// newRequest returns an empty request body to decode into.
+	newRequest func() request
+}
+
+// computeKinds is the one kind -> request table: New registers the
+// synchronous routes from it, and buildWork (job submission and
+// journal replay) decodes job requests through it, so a kind cannot
+// exist on one path and not the other.
+var computeKinds = []computeKind{
+	// POST /v1/run: the full MHLA+TE flow on one program+platform,
+	// answered with mhla.ResultJSON bytes.
+	{"run", func() request { return new(runRequest) }},
+	// POST /v1/sweep: the concurrent L1 sweep over the cached
+	// workspace, answered with Sweep.JSON bytes.
+	{"sweep", func() request { return new(sweepRequest) }},
+	// POST /v1/batch: an Explorer grid over catalog applications,
+	// every distinct program resolved through the workspace cache.
+	{"batch", func() request { return new(batchRequest) }},
+	// POST /v1/simulate: the trace-driven cache + prefetch simulation
+	// of one program+platform, answered with mhla.SimulateJSON bytes.
+	{"simulate", func() request { return new(simulateRequest) }},
 }
 
 // flowOptions assembles the shared option prefix of a compute call:
@@ -39,7 +69,7 @@ func flowOptions(ws *mhla.Workspace, progress mhla.ProgressFunc) []mhla.Option {
 type runWork struct {
 	prog       *mhla.Program
 	digest     string
-	platOpts   []mhla.Option
+	plat       *mhla.Platform
 	searchOpts []mhla.Option
 }
 
@@ -49,7 +79,7 @@ func (req *runRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	platOpts, apiErr := req.platformOptions()
+	plat, apiErr := req.platform()
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -57,17 +87,15 @@ func (req *runRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	return &runWork{prog: prog, digest: digest, platOpts: platOpts, searchOpts: searchOpts}, nil
+	return &runWork{prog: prog, digest: digest, plat: plat, searchOpts: searchOpts}, nil
 }
-
-func (wk *runWork) kind() string { return "run" }
 
 func (wk *runWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	opts := append(flowOptions(ws, progress), wk.platOpts...)
+	opts := append(flowOptions(ws, progress), mhla.WithPlatform(wk.plat))
 	opts = append(opts, wk.searchOpts...)
 	res, err := mhla.Run(ctx, nil, opts...)
 	if err != nil {
@@ -113,8 +141,6 @@ func (req *sweepRequest) work(s *Server) (work, *apiError) {
 		exact:        isExactEngine(req.Engine),
 	}, nil
 }
-
-func (wk *sweepWork) kind() string { return "sweep" }
 
 func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
@@ -199,8 +225,6 @@ func (req *batchRequest) work(s *Server) (work, *apiError) {
 	}, nil
 }
 
-func (wk *batchWork) kind() string { return "batch" }
-
 func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	grid := mhla.Grid{
 		L1Sizes:    wk.l1Sizes,
@@ -281,7 +305,7 @@ type simulateWork struct {
 }
 
 func (req *simulateRequest) work(s *Server) (work, *apiError) {
-	plat, apiErr := req.platformValue()
+	plat, apiErr := req.platform()
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -295,8 +319,6 @@ func (req *simulateRequest) work(s *Server) (work, *apiError) {
 	}
 	return &simulateWork{prog: prog, digest: digest, plat: plat, cacheCfg: cacheCfg}, nil
 }
-
-func (wk *simulateWork) kind() string { return "simulate" }
 
 func (wk *simulateWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)

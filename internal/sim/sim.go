@@ -172,7 +172,7 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 		words := int64((n.Array.ElemSize + a.Platform.Layers[layer].WordBytes - 1) /
 			a.Platform.Layers[layer].WordBytes)
 		res.LayerAccesses[layer] += words
-		res.Energy += float64(words) * a.Platform.AccessEnergy(layer, n.Kind == model.Write)
+		res.Energy += float64(float64(words) * a.Platform.AccessEnergy(layer, n.Kind == model.Write))
 		return true
 	})
 	if err != nil {

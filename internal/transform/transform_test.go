@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"mhla/internal/model"
 	"mhla/internal/reuse"
 	"mhla/internal/sim"
+	"mhla/internal/workspace"
 )
 
 // matmul builds C = A x B with the column-major walk of B that makes
@@ -100,11 +102,11 @@ func TestTileAndInterchangeImproveMatmulMHLA(t *testing.T) {
 		t.Fatal(err)
 	}
 	plat := int64(4096)
-	r1, err := core.Run(p, core.Config{Platform: energy.TwoLevel(plat)})
+	r1, err := runFlow(p, core.Config{Platform: energy.TwoLevel(plat)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.Run(blocked, core.Config{Platform: energy.TwoLevel(plat)})
+	r2, err := runFlow(blocked, core.Config{Platform: energy.TwoLevel(plat)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,4 +234,13 @@ func TestTileNestedLoopDeep(t *testing.T) {
 	if q2.AccessCounts()["b"] != p.AccessCounts()["b"] {
 		t.Error("double-tiled counts changed")
 	}
+}
+
+// runFlow compiles p and runs the full flow over its workspace.
+func runFlow(p *model.Program, cfg core.Config) (*core.Result, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunWorkspace(context.Background(), ws, cfg)
 }

@@ -319,14 +319,26 @@ func TeeProgress(fns ...ProgressFunc) ProgressFunc {
 // automatically.
 func Compile(p *Program) (*Workspace, error) { return workspace.Compile(p) }
 
-// checkWorkspace verifies a configured workspace matches the program
-// the entry point received (a nil program is allowed — the workspace
-// carries its own).
-func (c *config) checkWorkspace(p *Program) error {
-	if c.workspace != nil && p != nil && p != c.workspace.Program {
-		return &assign.OptionError{Field: "Workspace", Reason: "workspace was compiled for a different program"}
+// compile resolves the workspace an entry point runs over: the
+// configured one (WithWorkspace), which must have been compiled for p
+// (a nil p is allowed — the workspace carries its own program), or
+// else p compiled afresh. It reports the first invalid option first,
+// and returns ctx.Err() before compiling, so a cancelled call does no
+// analysis work.
+func (c *config) compile(ctx context.Context, p *Program) (*Workspace, error) {
+	if c.err != nil {
+		return nil, c.err
 	}
-	return nil
+	if c.workspace != nil {
+		if p != nil && p != c.workspace.Program {
+			return nil, &assign.OptionError{Field: "Workspace", Reason: "workspace was compiled for a different program"}
+		}
+		return c.workspace, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return workspace.Compile(p)
 }
 
 // Run executes the full two-step MHLA+TE flow on a program and
@@ -336,16 +348,11 @@ func (c *config) checkWorkspace(p *Program) error {
 // analysis is reused instead of recompiled.
 func Run(ctx context.Context, p *Program, opts ...Option) (*Result, error) {
 	cfg := newConfig(opts)
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	if err := cfg.checkWorkspace(p); err != nil {
+	ws, err := cfg.compile(ctx, p)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.workspace != nil {
-		return core.RunWorkspace(ctx, cfg.workspace, cfg.coreConfig())
-	}
-	return core.RunContext(ctx, p, cfg.coreConfig())
+	return core.RunWorkspace(ctx, ws, cfg.coreConfig())
 }
 
 // Search runs the assignment step alone on an analyzed program (step
@@ -415,7 +422,7 @@ func ParsePolicy(s string) (Policy, error) {
 // assignOptions exposes the accumulated assignment options for the
 // helpers (Search, Partition) that drive the assignment layer
 // directly, wiring the flow-level progress callback into the engine
-// the way core.RunContext does.
+// the way core.BeginWorkspace does.
 func (c *config) assignOptions() assign.Options {
 	return core.WireSearchProgress(c.search, c.progress)
 }

@@ -3,7 +3,6 @@ package mhla
 import (
 	"context"
 
-	"mhla/internal/assign"
 	"mhla/internal/cachesim"
 	"mhla/internal/trace"
 )
@@ -59,22 +58,14 @@ func CacheConfigFor(p *Platform, ways, lineBytes int) CacheConfig {
 // results at any concurrency — the serving layer relies on it.
 func Simulate(ctx context.Context, p *Program, cacheCfg CacheConfig, opts ...Option) (*CacheResult, error) {
 	cfg := newConfig(opts)
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	if err := cfg.checkWorkspace(p); err != nil {
-		return nil, err
-	}
-	if err := cacheCfg.Validate(cfg.platform); err != nil {
-		return nil, &assign.OptionError{Field: "CacheConfig", Reason: err.Error()}
-	}
-	ws := cfg.workspace
-	if ws == nil {
-		var err error
-		ws, err = Compile(p)
-		if err != nil {
-			return nil, err
+	if cfg.err == nil {
+		if err := cacheCfg.Validate(cfg.platform); err != nil {
+			cfg.fail("CacheConfig", err.Error())
 		}
+	}
+	ws, err := cfg.compile(ctx, p)
+	if err != nil {
+		return nil, err
 	}
 	return cachesim.Simulate(ctx, ws, cfg.platform, cacheCfg)
 }

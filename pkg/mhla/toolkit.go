@@ -2,7 +2,6 @@ package mhla
 
 import (
 	"context"
-	"fmt"
 
 	"mhla/internal/dmasim"
 	"mhla/internal/explore"
@@ -62,18 +61,9 @@ func Layout(a *Assignment) ([]*LayerMap, error) { return layout.Map(a) }
 // promptly when ctx is cancelled.
 func SweepL1(ctx context.Context, p *Program, sizes []int64, opts ...Option) (*Sweep, error) {
 	cfg := newConfig(opts)
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	if err := cfg.checkWorkspace(p); err != nil {
+	ws, err := cfg.compile(ctx, p)
+	if err != nil {
 		return nil, err
-	}
-	ws := cfg.workspace
-	if ws == nil {
-		var err error
-		if ws, err = Compile(p); err != nil {
-			return nil, fmt.Errorf("explore: %w", err)
-		}
 	}
 	return explore.SweepWorkspace(ctx, ws, sizes, explore.Options{
 		Config:  cfg.coreConfig(),
